@@ -72,13 +72,14 @@ def main() -> None:
     run_script(r1, PROFILE_SCRIPT)
 
     print("\n== access keys in action: a forged request is rejected ==")
-    from repro.xrl.transport.base import decode_response, encode_request
     from repro.xrl import XrlArgs
+    from repro.xrl.codec import TEXTUAL
 
-    forged = encode_request(1, "f" * 32 + "/rib/1.0/get_protocol_admin_distance",
-                            XrlArgs().add_txt("protocol", "rip"))
+    forged = TEXTUAL.encode_request(
+        1, "f" * 32 + "/rib/1.0/get_protocol_admin_distance",
+        XrlArgs().add_txt("protocol", "rip"))
     response = r1.rib.xrl.dispatch_frame(forged)
-    __, error, __ = decode_response(response)
+    __, error, __ = TEXTUAL.decode_response(response)
     print(f"forged 16-byte key -> {error}")
 
 

@@ -13,7 +13,9 @@ and after Finder resolution::
 The pieces:
 
 * :mod:`repro.xrl.types` / :mod:`repro.xrl.args` — the core argument atom
-  types and their textual + binary marshaling;
+  types and their canonical textual form;
+* :mod:`repro.xrl.codec` — the frame codecs and the one binary atom
+  encoding they share;
 * :mod:`repro.xrl.xrl` — the :class:`Xrl` object itself;
 * :mod:`repro.xrl.idl` — the interface definition language, stub
   generation and signature checking;

@@ -1,22 +1,38 @@
-"""XRL frame codecs: the textual baseline and the negotiated binary form.
+"""XRL frame codecs: one binary atom encoding under two frame headers.
 
-Two frame codecs share the request/response surface:
+Both frame codecs share the request/response surface and carry their
+arguments in the same **atom section**:
 
-* **textual** — the original frame layout every transport speaks by
-  default (the paper's "canonical" form; still self-describing and
-  stateless):
+    ``uvarint count``, then per atom ``uvarint len(name)  name-utf8  tag
+    payload`` — integers as (zigzag) varints, a u32 below 0x80 packed into
+    the tag byte itself, text and binary length-prefixed, addresses as
+    packed bytes, prefixes as packed network + one length byte, lists as
+    a nested atom section.
 
-  - request:  ``!I seq  !H len(method)  method-utf8  args-binary``
-  - response: ``!I seq  !I errcode  !H len(note)  note-utf8  args-binary``
+("internally XRLs are encoded more efficiently", paper §3.1.)  The
+canonical ``name:type=value`` text of :mod:`repro.xrl.types` is for XRL
+strings and scripting, never for frames.
+
+The two frame headers:
+
+* **textual** — stateless and self-describing; the frame every transport
+  speaks by default.  "textual" is the capability token the TCP HELLO
+  exchange advertises for it; only the method and note are text.
+
+  - request:  ``!I seq  !H len(method)  method-utf8  atoms``
+  - response: ``!I seq  !I errcode  !H len(note)  note-utf8  atoms``
 
 * **binary** — a per-connection stateful codec negotiated over TCP via a
-  hello/capability exchange ("internally XRLs are encoded more
-  efficiently", paper §3.1).  Msgpack-style self-describing atoms with
-  varint lengths and one-byte small-integer packing, plus per-connection
-  **method interning**: the resolved method string (a 16-byte access key
-  + interface/version/method, ~55 bytes) is transmitted once and then
-  referenced by a 1–2 byte id.  Decode bypasses per-atom validation —
-  the producer validated on encode and TCP preserves bytes.
+  hello/capability exchange, with varint error codes and note lengths and
+  per-connection **method interning**: the resolved method string (a
+  16-byte access key + interface/version/method, ~55 bytes) is
+  transmitted once and then referenced by a 1–2 byte id.
+
+Decoding the atom section makes the checks :class:`XrlAtom` construction
+makes: atom names, integer ranges (the same ``_INT_RANGES`` table),
+prefix lengths, and the address family the tag implies.  Truncated frames,
+trailing bytes and duplicate argument names are rejected too; every
+corrupt frame surfaces as ``XrlError(BAD_ARGS)`` and nothing else.
 
 The *method* string on the wire is the **resolved** method name, i.e. the
 Finder-issued 16-byte access key followed by ``interface/version/method``
@@ -46,10 +62,10 @@ import json
 import struct
 from typing import Dict, List, Optional, Tuple
 
-from repro.net import AddressError, IPNet, IPv4, IPv6, Mac
+from repro.net import IPNet, IPv4, IPv6, Mac
 from repro.xrl.args import XrlArgs
 from repro.xrl.error import XrlError, XrlErrorCode
-from repro.xrl.types import XrlAtom, XrlAtomType
+from repro.xrl.types import _INT_RANGES, XrlAtom, XrlAtomType, _valid_name
 
 # -- frame kinds (transport prefix, one byte) ---------------------------------
 
@@ -57,92 +73,6 @@ KIND_TEXTUAL = 0x00
 KIND_BINARY = 0x01
 KIND_HELLO = 0x7E
 KIND_HELLO_ACK = 0x7F
-
-
-# -- the textual codec (module functions: the historical public surface) ------
-
-def encode_request(seq: int, resolved_method: str, args: XrlArgs) -> bytes:
-    method_bytes = resolved_method.encode("utf-8")
-    return (
-        struct.pack("!IH", seq & 0xFFFFFFFF, len(method_bytes))
-        + method_bytes
-        + args.to_binary()
-    )
-
-
-def decode_request(data: bytes) -> Tuple[int, str, XrlArgs]:
-    try:
-        seq, method_len = struct.unpack_from("!IH", data, 0)
-        offset = 6
-        method = data[offset : offset + method_len].decode("utf-8")
-        offset += method_len
-        args = XrlArgs.from_binary(data, offset)
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise XrlError(XrlErrorCode.BAD_ARGS, f"corrupt request frame: {exc}") from exc
-    return seq, method, args
-
-
-def encode_response(seq: int, error: XrlError, args: Optional[XrlArgs]) -> bytes:
-    note_bytes = error.note.encode("utf-8")
-    body = (args if args is not None else XrlArgs()).to_binary()
-    return (
-        struct.pack("!IIH", seq & 0xFFFFFFFF, int(error.code), len(note_bytes))
-        + note_bytes
-        + body
-    )
-
-
-def decode_response(data: bytes) -> Tuple[int, XrlError, XrlArgs]:
-    try:
-        seq, code, note_len = struct.unpack_from("!IIH", data, 0)
-        offset = 10
-        note = data[offset : offset + note_len].decode("utf-8")
-        offset += note_len
-        args = XrlArgs.from_binary(data, offset)
-        error = XrlError(XrlErrorCode(code), note)
-    except (struct.error, ValueError, UnicodeDecodeError) as exc:
-        raise XrlError(
-            XrlErrorCode.BAD_ARGS, f"corrupt response frame: {exc}"
-        ) from exc
-    return seq, error, args
-
-
-class FrameCodec:
-    """Encode/decode one direction-pair of XRL frames for one connection."""
-
-    name: str = "?"
-    #: the frame-kind byte codec-aware transports prefix bodies with
-    kind: int = KIND_TEXTUAL
-
-    def encode_request(self, seq: int, resolved_method: str,
-                       args: XrlArgs) -> bytes:
-        raise NotImplementedError
-
-    def decode_request(self, data: bytes) -> Tuple[int, str, XrlArgs]:
-        raise NotImplementedError
-
-    def encode_response(self, seq: int, error: XrlError,
-                        args: Optional[XrlArgs]) -> bytes:
-        raise NotImplementedError
-
-    def decode_response(self, data: bytes) -> Tuple[int, XrlError, XrlArgs]:
-        raise NotImplementedError
-
-
-class TextualCodec(FrameCodec):
-    """Stateless delegate to the canonical frame functions above."""
-
-    name = "textual"
-    kind = KIND_TEXTUAL
-
-    encode_request = staticmethod(encode_request)
-    decode_request = staticmethod(decode_request)
-    encode_response = staticmethod(encode_response)
-    decode_response = staticmethod(decode_response)
-
-
-#: the shared stateless instance every non-negotiating transport uses
-TEXTUAL = TextualCodec()
 
 
 # -- varints ------------------------------------------------------------------
@@ -176,7 +106,7 @@ def _unzigzag(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
 
 
-# -- binary atom tags ---------------------------------------------------------
+# -- the atom section ---------------------------------------------------------
 
 _TAG_I32 = 0x01
 _TAG_U32 = 0x02
@@ -194,22 +124,6 @@ _TAG_BINARY = 0x0D
 _TAG_LIST = 0x0E
 #: ``0x80 | v`` packs a u32 in [0, 0x7F] into the tag byte itself
 _TAG_FIXU32 = 0x80
-
-_PLAIN_TAGS: Dict[XrlAtomType, int] = {
-    XrlAtomType.I32: _TAG_I32,
-    XrlAtomType.U32: _TAG_U32,
-    XrlAtomType.I64: _TAG_I64,
-    XrlAtomType.U64: _TAG_U64,
-    XrlAtomType.TXT: _TAG_TXT,
-    XrlAtomType.IPV4: _TAG_IPV4,
-    XrlAtomType.IPV6: _TAG_IPV6,
-    XrlAtomType.IPV4NET: _TAG_IPV4NET,
-    XrlAtomType.IPV6NET: _TAG_IPV6NET,
-    XrlAtomType.MAC: _TAG_MAC,
-    XrlAtomType.BINARY: _TAG_BINARY,
-    XrlAtomType.LIST: _TAG_LIST,
-}
-
 
 def _encode_atoms(buf: bytearray, atoms: List[XrlAtom]) -> None:
     write_uvarint(buf, len(atoms))
@@ -270,13 +184,20 @@ def _encode_atoms(buf: bytearray, atoms: List[XrlAtom]) -> None:
 
 
 def _new_atom(name: str, atom_type: XrlAtomType, value) -> XrlAtom:
-    # Trusted fast path: the producing side ran full validation in
-    # XrlAtom.__init__ and TCP preserves bytes, so decode skips it.
+    # The decoder has already made XrlAtom.__init__'s checks on the
+    # wire form, so the atom is built without repeating them.
     atom = XrlAtom.__new__(XrlAtom)
     atom.name = name
     atom.type = atom_type
     atom.value = value
     return atom
+
+
+def _int_atom(name: str, atom_type: XrlAtomType, value: int) -> XrlAtom:
+    lo, hi = _INT_RANGES[atom_type]
+    if not lo <= value <= hi:
+        raise ValueError(f"{atom_type.value} {value} outside [{lo}, {hi}]")
+    return _new_atom(name, atom_type, value)
 
 
 def _decode_atoms(data: bytes, offset: int) -> Tuple[List[XrlAtom], int]:
@@ -287,13 +208,15 @@ def _decode_atoms(data: bytes, offset: int) -> Tuple[List[XrlAtom], int]:
         name_len, offset = read_uvarint(data, offset)
         end = offset + name_len
         name = data[offset:end].decode("utf-8")
+        if not _valid_name(name):
+            raise ValueError(f"bad atom name {name!r}")
         tag = data[end]
         offset = end + 1
         if tag >= _TAG_FIXU32:
             append(_new_atom(name, XrlAtomType.U32, tag & 0x7F))
         elif tag == _TAG_U32:
             value, offset = read_uvarint(data, offset)
-            append(_new_atom(name, XrlAtomType.U32, value))
+            append(_int_atom(name, XrlAtomType.U32, value))
         elif tag == _TAG_TXT:
             length, offset = read_uvarint(data, offset)
             end = offset + length
@@ -308,13 +231,13 @@ def _decode_atoms(data: bytes, offset: int) -> Tuple[List[XrlAtom], int]:
             append(_new_atom(name, XrlAtomType.BOOL, False))
         elif tag == _TAG_I32:
             value, offset = read_uvarint(data, offset)
-            append(_new_atom(name, XrlAtomType.I32, _unzigzag(value)))
+            append(_int_atom(name, XrlAtomType.I32, _unzigzag(value)))
         elif tag == _TAG_I64:
             value, offset = read_uvarint(data, offset)
-            append(_new_atom(name, XrlAtomType.I64, _unzigzag(value)))
+            append(_int_atom(name, XrlAtomType.I64, _unzigzag(value)))
         elif tag == _TAG_U64:
             value, offset = read_uvarint(data, offset)
-            append(_new_atom(name, XrlAtomType.U64, value))
+            append(_int_atom(name, XrlAtomType.U64, value))
         elif tag == _TAG_IPV4:
             end = offset + 4
             append(_new_atom(name, XrlAtomType.IPV4, IPv4(data[offset:end])))
@@ -352,11 +275,99 @@ def _decode_atoms(data: bytes, offset: int) -> Tuple[List[XrlAtom], int]:
     return atoms, offset
 
 
-def _args_from_atoms(atoms: List[XrlAtom]) -> XrlArgs:
+def _decode_args(data: bytes, offset: int) -> XrlArgs:
+    """Decode the atom section that ends a frame; nothing may follow it."""
+    atoms, offset = _decode_atoms(data, offset)
+    if offset != len(data):
+        raise ValueError(f"{len(data) - offset} trailing bytes")
     args = XrlArgs.__new__(XrlArgs)
     args._atoms = atoms
     args._index = {atom.name: atom for atom in atoms}
+    if len(args._index) != len(atoms):
+        raise ValueError("duplicate argument name")
     return args
+
+
+#: what decoding a corrupt frame may raise; the codecs turn it into BAD_ARGS
+_CORRUPT = (struct.error, ValueError, IndexError, RecursionError)
+
+
+# -- frame codecs -------------------------------------------------------------
+
+class FrameCodec:
+    """Encode/decode one direction-pair of XRL frames for one connection."""
+
+    name: str = "?"
+    #: the frame-kind byte codec-aware transports prefix bodies with
+    kind: int = KIND_TEXTUAL
+
+    def encode_request(self, seq: int, resolved_method: str,
+                       args: XrlArgs) -> bytes:
+        raise NotImplementedError
+
+    def decode_request(self, data: bytes) -> Tuple[int, str, XrlArgs]:
+        raise NotImplementedError
+
+    def encode_response(self, seq: int, error: XrlError,
+                        args: Optional[XrlArgs]) -> bytes:
+        raise NotImplementedError
+
+    def decode_response(self, data: bytes) -> Tuple[int, XrlError, XrlArgs]:
+        raise NotImplementedError
+
+
+class TextualCodec(FrameCodec):
+    """The stateless frame every transport speaks by default."""
+
+    name = "textual"
+    kind = KIND_TEXTUAL
+
+    def encode_request(self, seq: int, resolved_method: str,
+                       args: XrlArgs) -> bytes:
+        method_bytes = resolved_method.encode("utf-8")
+        buf = bytearray(struct.pack("!IH", seq & 0xFFFFFFFF,
+                                    len(method_bytes)))
+        buf += method_bytes
+        _encode_atoms(buf, args._atoms)
+        return bytes(buf)
+
+    def decode_request(self, data: bytes) -> Tuple[int, str, XrlArgs]:
+        try:
+            seq, method_len = struct.unpack_from("!IH", data, 0)
+            end = 6 + method_len
+            method = data[6:end].decode("utf-8")
+            args = _decode_args(data, end)
+        except _CORRUPT as exc:
+            raise XrlError(
+                XrlErrorCode.BAD_ARGS, f"corrupt request frame: {exc}"
+            ) from exc
+        return seq, method, args
+
+    def encode_response(self, seq: int, error: XrlError,
+                        args: Optional[XrlArgs]) -> bytes:
+        note_bytes = error.note.encode("utf-8")
+        buf = bytearray(struct.pack("!IIH", seq & 0xFFFFFFFF,
+                                    int(error.code), len(note_bytes)))
+        buf += note_bytes
+        _encode_atoms(buf, args._atoms if args is not None else ())
+        return bytes(buf)
+
+    def decode_response(self, data: bytes) -> Tuple[int, XrlError, XrlArgs]:
+        try:
+            seq, code, note_len = struct.unpack_from("!IIH", data, 0)
+            end = 10 + note_len
+            note = data[10:end].decode("utf-8")
+            args = _decode_args(data, end)
+            error = XrlError(XrlErrorCode(code), note)
+        except _CORRUPT as exc:
+            raise XrlError(
+                XrlErrorCode.BAD_ARGS, f"corrupt response frame: {exc}"
+            ) from exc
+        return seq, error, args
+
+
+#: the shared stateless instance every non-negotiating transport uses
+TEXTUAL = TextualCodec()
 
 
 class BinaryCodec(FrameCodec):
@@ -414,15 +425,12 @@ class BinaryCodec(FrameCodec):
                 offset = end
             else:
                 method = self._methods_in[token - 1]
-            atoms, offset = _decode_atoms(data, offset)
-            if offset != len(data):
-                raise ValueError(f"{len(data) - offset} trailing bytes")
-        except (struct.error, ValueError, IndexError, UnicodeDecodeError,
-                AddressError) as exc:
+            args = _decode_args(data, offset)
+        except _CORRUPT as exc:
             raise XrlError(
                 XrlErrorCode.BAD_ARGS, f"corrupt binary request frame: {exc}"
             ) from exc
-        return seq, method, _args_from_atoms(atoms)
+        return seq, method, args
 
     # -- responses --------------------------------------------------------
     def encode_response(self, seq: int, error: XrlError,
@@ -444,16 +452,13 @@ class BinaryCodec(FrameCodec):
             if end > len(data):
                 raise ValueError("truncated error note")
             note = data[offset:end].decode("utf-8")
-            atoms, offset = _decode_atoms(data, end)
-            if offset != len(data):
-                raise ValueError(f"{len(data) - offset} trailing bytes")
+            args = _decode_args(data, end)
             error = XrlError(XrlErrorCode(code), note)
-        except (struct.error, ValueError, IndexError, UnicodeDecodeError,
-                AddressError) as exc:
+        except _CORRUPT as exc:
             raise XrlError(
                 XrlErrorCode.BAD_ARGS, f"corrupt binary response frame: {exc}"
             ) from exc
-        return seq, error, _args_from_atoms(atoms)
+        return seq, error, args
 
 
 # -- negotiation --------------------------------------------------------------

@@ -19,14 +19,7 @@ Families implemented here:
   chaos harness behind the supervision tests).
 """
 
-from repro.xrl.transport.base import (
-    ProtocolFamily,
-    Sender,
-    decode_request,
-    decode_response,
-    encode_request,
-    encode_response,
-)
+from repro.xrl.transport.base import ProtocolFamily, Sender
 from repro.xrl.transport.fault import FaultFamily, FaultStats
 from repro.xrl.transport.intra import IntraProcessFamily
 from repro.xrl.transport.kill import KillFamily
@@ -44,8 +37,4 @@ __all__ = [
     "SimFamily",
     "TcpFamily",
     "UdpFamily",
-    "decode_request",
-    "decode_response",
-    "encode_request",
-    "encode_response",
 ]

@@ -1,8 +1,8 @@
-"""Protocol family base classes and the frame-codec surface.
+"""Protocol family base classes.
 
-The frame codecs themselves live in :mod:`repro.xrl.codec`; the four
-canonical (textual) frame functions are re-exported here because they
-are the historical public surface every transport and test imports.
+The frame codecs themselves live in :mod:`repro.xrl.codec`; a sender
+speaks :data:`~repro.xrl.codec.TEXTUAL` frames unless its transport
+negotiates another codec.
 
 Every transport exposes the same constructor surface (the uniform API
 the codec negotiation relies on):
@@ -20,14 +20,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 from repro.xrl.args import XrlArgs
-from repro.xrl.codec import (  # noqa: F401  (re-exported public surface)
-    TEXTUAL,
-    FrameCodec,
-    decode_request,
-    decode_response,
-    encode_request,
-    encode_response,
-)
+from repro.xrl.codec import TEXTUAL
 from repro.xrl.error import XrlError
 
 ReplyCallback = Callable[[bytes], None]
@@ -91,6 +84,71 @@ class Sender:
     @property
     def alive(self) -> bool:
         return True
+
+
+class DirectSender(Sender):
+    """Delivery by direct dispatch through the caller's event loop.
+
+    The in-interpreter families (intra-process, host-local) differ only in
+    how they find the listening router, :meth:`_target`.  Delivery is
+    deferred one loop hop so callers observe the same asynchronous
+    semantics as on a socket.
+    """
+
+    def __init__(self, family: "ProtocolFamily", address: str, router):
+        self._family = family
+        self._address = address
+        self._caller = router
+
+    def _target(self):
+        """The listening router; raise ``SEND_FAILED`` if it is unusable."""
+        raise NotImplementedError
+
+    def call(self, request: bytes, reply_cb: ReplyCallback) -> None:
+        target_router = self._target()
+        loop = self._caller.loop
+
+        def deliver() -> None:
+            target_router.dispatch_frame_async(
+                request, lambda response: loop.call_soon(reply_cb, response))
+
+        loop.call_soon(deliver)
+
+    def call_batch(self, requests) -> None:
+        """Deliver a whole batch in two event-loop hops instead of ``2N``.
+
+        One deferred call dispatches every request; replies produced
+        synchronously by the handlers are collected and flushed together
+        in a second deferred call.  A handler that defers (an XRL
+        intermediary) still answers through its own later hop.
+        """
+        target_router = self._target()
+        loop = self._caller.loop
+        pairs = list(requests)
+
+        def deliver() -> None:
+            ready = []
+            collecting = True
+
+            def respond_for(reply_cb):
+                def respond(response: bytes) -> None:
+                    if collecting:
+                        ready.append((reply_cb, response))
+                    else:
+                        loop.call_soon(reply_cb, response)
+                return respond
+
+            for request, reply_cb in pairs:
+                target_router.dispatch_frame_async(request,
+                                                   respond_for(reply_cb))
+            collecting = False
+            if ready:
+                def flush() -> None:
+                    for reply_cb, response in ready:
+                        reply_cb(response)
+                loop.call_soon(flush)
+
+        loop.call_soon(deliver)
 
 
 class ProtocolFamily:

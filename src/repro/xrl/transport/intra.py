@@ -15,16 +15,11 @@ import os
 from typing import Dict
 
 from repro.xrl.error import XrlError, XrlErrorCode
-from repro.xrl.transport.base import ProtocolFamily, ReplyCallback, Sender
+from repro.xrl.transport.base import DirectSender, ProtocolFamily, Sender
 
 
-class _IntraSender(Sender):
-    def __init__(self, family: "IntraProcessFamily", address: str, router):
-        self._family = family
-        self._address = address
-        self._caller = router
-
-    def call(self, request: bytes, reply_cb: ReplyCallback) -> None:
+class _IntraSender(DirectSender):
+    def _target(self):
         entry = self._family._listeners.get(self._address)
         if entry is None:
             raise XrlError(
@@ -36,59 +31,12 @@ class _IntraSender(Sender):
                 XrlErrorCode.SEND_FAILED,
                 "intra-process family cannot cross process boundaries",
             )
-        loop = self._caller.loop
+        return target_router
 
-        def deliver() -> None:
-            target_router.dispatch_frame_async(
-                request, lambda response: loop.call_soon(reply_cb, response))
-
-        loop.call_soon(deliver)
-
-    def call_batch(self, requests) -> None:
-        """Deliver a whole batch in two event-loop hops instead of ``2N``.
-
-        One deferred call dispatches every request; replies produced
-        synchronously by the handlers are collected and flushed together
-        in a second deferred call.  A handler that defers (an XRL
-        intermediary) still answers through its own later hop.
-        """
-        entry = self._family._listeners.get(self._address)
-        if entry is None:
-            raise XrlError(
-                XrlErrorCode.SEND_FAILED, f"intra target {self._address} is gone"
-            )
-        target_router, process_token = entry
-        if process_token != self._caller.process_token:
-            raise XrlError(
-                XrlErrorCode.SEND_FAILED,
-                "intra-process family cannot cross process boundaries",
-            )
-        loop = self._caller.loop
-        pairs = list(requests)
-
-        def deliver() -> None:
-            ready = []
-            collecting = True
-
-            def respond_for(reply_cb):
-                def respond(response: bytes) -> None:
-                    if collecting:
-                        ready.append((reply_cb, response))
-                    else:
-                        loop.call_soon(reply_cb, response)
-                return respond
-
-            for request, reply_cb in pairs:
-                target_router.dispatch_frame_async(request,
-                                                   respond_for(reply_cb))
-            collecting = False
-            if ready:
-                def flush() -> None:
-                    for reply_cb, response in ready:
-                        reply_cb(response)
-                loop.call_soon(flush)
-
-        loop.call_soon(deliver)
+    # Each family's sender class carries its own entries, so per-class
+    # instrumentation can wrap one family without touching the other.
+    call = DirectSender.call
+    call_batch = DirectSender.call_batch
 
 
 class IntraProcessFamily(ProtocolFamily):

@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from typing import Dict
 
+from repro.xrl.args import XrlArgs
+from repro.xrl.codec import TEXTUAL
 from repro.xrl.error import XrlError, XrlErrorCode
 from repro.xrl.transport.base import ProtocolFamily, ReplyCallback, Sender
-from repro.xrl.transport.base import encode_response
-from repro.xrl.args import XrlArgs
 
 SIGTERM = 15
 SIGKILL = 9
@@ -47,7 +47,7 @@ class _KillSender(Sender):
             # lands between call() and the loop running us must not
             # resurrect the handler of a process that is already gone.
             if self._family._listeners.get(self._address) is not target:
-                reply_cb(encode_response(
+                reply_cb(TEXTUAL.encode_response(
                     seq,
                     XrlError(XrlErrorCode.SEND_FAILED,
                              f"kill target {self._address} died before "
@@ -57,7 +57,7 @@ class _KillSender(Sender):
             handler = getattr(target, "on_signal", None)
             if handler is not None:
                 handler(signal_number)
-            reply_cb(encode_response(seq, XrlError.okay(), XrlArgs()))
+            reply_cb(TEXTUAL.encode_response(seq, XrlError.okay(), XrlArgs()))
 
         loop.call_soon(deliver)
 

@@ -14,63 +14,21 @@ import os
 from typing import Dict
 
 from repro.xrl.error import XrlError, XrlErrorCode
-from repro.xrl.transport.base import ProtocolFamily, ReplyCallback, Sender
+from repro.xrl.transport.base import DirectSender, ProtocolFamily, Sender
 
 
-class _HostLocalSender(Sender):
-    def __init__(self, family: "HostLocalFamily", address: str, router):
-        self._family = family
-        self._address = address
-        self._caller = router
-
-    def call(self, request: bytes, reply_cb: ReplyCallback) -> None:
+class _HostLocalSender(DirectSender):
+    def _target(self):
         target_router = self._family._listeners.get(self._address)
         if target_router is None:
             raise XrlError(
                 XrlErrorCode.SEND_FAILED, f"local target {self._address} is gone"
             )
-        loop = self._caller.loop
+        return target_router
 
-        def deliver() -> None:
-            target_router.dispatch_frame_async(
-                request, lambda response: loop.call_soon(reply_cb, response))
-
-        loop.call_soon(deliver)
-
-    def call_batch(self, requests) -> None:
-        """Batch form: one delivery hop and one reply-flush hop per batch
-        (see the intra-process family for the pattern)."""
-        target_router = self._family._listeners.get(self._address)
-        if target_router is None:
-            raise XrlError(
-                XrlErrorCode.SEND_FAILED, f"local target {self._address} is gone"
-            )
-        loop = self._caller.loop
-        pairs = list(requests)
-
-        def deliver() -> None:
-            ready = []
-            collecting = True
-
-            def respond_for(reply_cb):
-                def respond(response: bytes) -> None:
-                    if collecting:
-                        ready.append((reply_cb, response))
-                    else:
-                        loop.call_soon(reply_cb, response)
-                return respond
-
-            for request, reply_cb in pairs:
-                target_router.dispatch_frame_async(request,
-                                                   respond_for(reply_cb))
-            collecting = False
-            if ready:
-                def flush() -> None:
-                    for reply_cb, response in ready:
-                        reply_cb(response)
-                loop.call_soon(flush)
-
-        loop.call_soon(deliver)
+    # Per-class entries, as on the intra-process family's sender.
+    call = DirectSender.call
+    call_batch = DirectSender.call_batch
 
 
 class HostLocalFamily(ProtocolFamily):

@@ -4,20 +4,19 @@
     throughout XORP, including network addresses, numbers, strings,
     booleans, binary arrays, and lists of these primitives."  (paper §6.1)
 
-Each argument is an :class:`XrlAtom` — a ``name:type=value`` triple.  Two
-encodings are implemented:
-
-* **textual** — the canonical, human-readable, scriptable form used in XRL
-  strings and by ``call_xrl``;
-* **binary** — the compact form the TCP/UDP protocol families put on the
-  wire ("Internally XRLs are encoded more efficiently").
+Each argument is an :class:`XrlAtom` — a ``name:type=value`` triple.  This
+module implements the one textual form: the canonical, human-readable,
+scriptable form used in XRL strings and by ``call_xrl``.  On the wire
+("Internally XRLs are encoded more efficiently") atoms travel in the frame
+codecs' shared binary atom encoding, :mod:`repro.xrl.codec`, whose decoder
+applies the same checks as :class:`XrlAtom` construction.
 """
 
 from __future__ import annotations
 
-import struct
+import re
 from enum import Enum
-from typing import Any, List, Tuple
+from typing import Any, List
 
 from repro.net import IPNet, IPv4, IPv6, Mac
 from repro.xrl.error import XrlError, XrlErrorCode
@@ -50,6 +49,9 @@ _INT_RANGES = {
 
 # Characters with structural meaning in XRL text; %-escaped in values.
 _ESCAPE_CHARS = "%&=?/:,\n "
+
+#: truthy for a valid atom name: non-empty and free of structural characters
+_valid_name = re.compile("[^" + re.escape(_ESCAPE_CHARS) + "]+").fullmatch
 
 
 def escape_text(value: str) -> str:
@@ -148,7 +150,7 @@ class XrlAtom:
     __slots__ = ("name", "type", "value")
 
     def __init__(self, name: str, atom_type: XrlAtomType, value: Any):
-        if not name or any(c in _ESCAPE_CHARS for c in name):
+        if not _valid_name(name):
             raise XrlError(XrlErrorCode.BAD_ARGS, f"bad atom name {name!r}")
         self.name = name
         self.type = XrlAtomType(atom_type)
@@ -191,109 +193,6 @@ class XrlAtom:
             return cls(name, atom_type, items)
         return cls(name, atom_type, unescape_text(raw_value))
 
-    # -- binary form --------------------------------------------------------
-    def to_binary(self) -> bytes:
-        """Compact wire encoding (type tag + name + payload)."""
-        name_bytes = self.name.encode("utf-8")
-        header = struct.pack("!BB", _TYPE_CODES[self.type], len(name_bytes))
-        return header + name_bytes + self._payload_binary()
-
-    def _payload_binary(self) -> bytes:
-        t = self.type
-        if t == XrlAtomType.I32:
-            return struct.pack("!i", self.value)
-        if t == XrlAtomType.U32:
-            return struct.pack("!I", self.value)
-        if t == XrlAtomType.I64:
-            return struct.pack("!q", self.value)
-        if t == XrlAtomType.U64:
-            return struct.pack("!Q", self.value)
-        if t == XrlAtomType.BOOL:
-            return b"\x01" if self.value else b"\x00"
-        if t == XrlAtomType.TXT:
-            data = self.value.encode("utf-8")
-            return struct.pack("!I", len(data)) + data
-        if t == XrlAtomType.IPV4:
-            return self.value.to_bytes()
-        if t == XrlAtomType.IPV6:
-            return self.value.to_bytes()
-        if t == XrlAtomType.IPV4NET:
-            return self.value.network.to_bytes() + bytes([self.value.prefix_len])
-        if t == XrlAtomType.IPV6NET:
-            return self.value.network.to_bytes() + bytes([self.value.prefix_len])
-        if t == XrlAtomType.MAC:
-            return self.value.to_bytes()
-        if t == XrlAtomType.BINARY:
-            return struct.pack("!I", len(self.value)) + self.value
-        if t == XrlAtomType.LIST:
-            parts = [struct.pack("!I", len(self.value))]
-            parts.extend(a.to_binary() for a in self.value)
-            return b"".join(parts)
-        raise XrlError(XrlErrorCode.INTERNAL_ERROR, f"unencodable type {t}")
-
-    @classmethod
-    def from_binary(cls, data: bytes, offset: int = 0) -> Tuple["XrlAtom", int]:
-        """Decode one atom at *offset*; return ``(atom, next_offset)``."""
-        from repro.net import AddressError
-
-        try:
-            type_code, name_len = struct.unpack_from("!BB", data, offset)
-            offset += 2
-            name = data[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            atom_type = _CODE_TYPES[type_code]
-            value, offset = cls._payload_from_binary(atom_type, data, offset)
-        except (struct.error, KeyError, IndexError, UnicodeDecodeError,
-                AddressError) as exc:
-            raise XrlError(
-                XrlErrorCode.BAD_ARGS, f"truncated or corrupt atom: {exc}"
-            ) from exc
-        return cls(name, atom_type, value), offset
-
-    @staticmethod
-    def _payload_from_binary(atom_type: XrlAtomType, data: bytes,
-                             offset: int) -> Tuple[Any, int]:
-        t = atom_type
-        if t == XrlAtomType.I32:
-            return struct.unpack_from("!i", data, offset)[0], offset + 4
-        if t == XrlAtomType.U32:
-            return struct.unpack_from("!I", data, offset)[0], offset + 4
-        if t == XrlAtomType.I64:
-            return struct.unpack_from("!q", data, offset)[0], offset + 8
-        if t == XrlAtomType.U64:
-            return struct.unpack_from("!Q", data, offset)[0], offset + 8
-        if t == XrlAtomType.BOOL:
-            return data[offset] != 0, offset + 1
-        if t == XrlAtomType.TXT:
-            (length,) = struct.unpack_from("!I", data, offset)
-            offset += 4
-            return data[offset : offset + length].decode("utf-8"), offset + length
-        if t == XrlAtomType.IPV4:
-            return IPv4(data[offset : offset + 4]), offset + 4
-        if t == XrlAtomType.IPV6:
-            return IPv6(data[offset : offset + 16]), offset + 16
-        if t == XrlAtomType.IPV4NET:
-            addr = IPv4(data[offset : offset + 4])
-            return IPNet(addr, data[offset + 4]), offset + 5
-        if t == XrlAtomType.IPV6NET:
-            addr = IPv6(data[offset : offset + 16])
-            return IPNet(addr, data[offset + 16]), offset + 17
-        if t == XrlAtomType.MAC:
-            return Mac(data[offset : offset + 6]), offset + 6
-        if t == XrlAtomType.BINARY:
-            (length,) = struct.unpack_from("!I", data, offset)
-            offset += 4
-            return bytes(data[offset : offset + length]), offset + length
-        if t == XrlAtomType.LIST:
-            (count,) = struct.unpack_from("!I", data, offset)
-            offset += 4
-            items = []
-            for __ in range(count):
-                atom, offset = XrlAtom.from_binary(data, offset)
-                items.append(atom)
-            return items, offset
-        raise XrlError(XrlErrorCode.BAD_ARGS, f"undecodable type {t}")
-
     # -- dunder -----------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         return (
@@ -306,6 +205,3 @@ class XrlAtom:
     def __repr__(self) -> str:
         return f"XrlAtom({self.to_text()!r})"
 
-
-_TYPE_CODES = {t: i for i, t in enumerate(XrlAtomType, start=1)}
-_CODE_TYPES = {i: t for t, i in _TYPE_CODES.items()}

@@ -1,17 +1,19 @@
 """Property tests for the negotiated binary XRL frame codec.
 
-The binary codec is stateful (per-connection method interning) and its
-decode path deliberately skips per-atom validation, so the properties
-that matter are:
+The binary codec is stateful (per-connection method interning) and shares
+its atom section with the textual codec, so the properties that matter
+are:
 
 * **round trip** — any encodable frame decodes to the same
   seq/method/error/args, for every atom type, nested lists included;
 * **codec equivalence** — the textual and binary codecs agree on the
   semantic content of every frame;
-* **structured failure** — truncated or corrupted frames either decode
-  (corruption can be semantically invisible) or raise :class:`XrlError`;
-  never any other exception, because a transport feeds these to a live
-  dispatch loop;
+* **structured failure** — truncated or corrupted frames of either codec
+  either decode (corruption can be semantically invisible) or raise
+  ``XrlError(BAD_ARGS)``; never any other exception, because a transport
+  feeds these to a live dispatch loop;
+* **decode checks** — out-of-range integers, bad or duplicate names and
+  bad prefix lengths are rejected as XrlAtom construction rejects them;
 * **interning** — repeated methods shrink to a 1–2 byte reference and
   decode through the paired table; a dangling reference is a structured
   error;
@@ -30,6 +32,7 @@ from repro.xrl.codec import (
     CODEC_PREFERENCE,
     TEXTUAL,
     BinaryCodec,
+    TextualCodec,
     choose_codec,
     decode_hello,
     encode_hello,
@@ -104,6 +107,10 @@ seqs = st.integers(0, (1 << 32) - 1)
 
 error_codes = st.sampled_from(list(XrlErrorCode))
 
+#: both frame codecs, as factories for a fresh endpoint
+CODECS = [BinaryCodec, TextualCodec]
+codecs = st.sampled_from(CODECS)
+
 
 def _assert_args_equal(a: XrlArgs, b: XrlArgs) -> None:
     assert list(a) == list(b)
@@ -152,56 +159,134 @@ class TestBinaryRoundTrip:
 # -- adversarial frames -------------------------------------------------------
 
 class TestStructuredFailure:
+    """Damaged frames of both codecs: each case draws the codec too."""
+
     @settings(max_examples=200)
-    @given(seqs, methods, args_strategy, st.data())
-    def test_truncated_request_raises_xrl_error(self, seq, method, args, data):
-        frame = BinaryCodec().encode_request(seq, method, args)
+    @given(codecs, seqs, methods, args_strategy, st.data())
+    def test_truncated_request_raises_xrl_error(self, make_codec, seq, method,
+                                                args, data):
+        frame = make_codec().encode_request(seq, method, args)
         cut = data.draw(st.integers(0, len(frame) - 1))
         with pytest.raises(XrlError) as excinfo:
-            BinaryCodec().decode_request(frame[:cut])
+            make_codec().decode_request(frame[:cut])
         assert excinfo.value.code == XrlErrorCode.BAD_ARGS
 
     @settings(max_examples=200)
-    @given(seqs, methods, args_strategy, st.data())
-    def test_corrupt_request_never_escapes_xrl_error(self, seq, method, args,
-                                                     data):
+    @given(codecs, seqs, methods, args_strategy, st.data())
+    def test_corrupt_request_never_escapes_xrl_error(self, make_codec, seq,
+                                                     method, args, data):
         """A flipped byte decodes or raises XrlError — nothing else."""
-        frame = bytearray(BinaryCodec().encode_request(seq, method, args))
+        frame = bytearray(make_codec().encode_request(seq, method, args))
         position = data.draw(st.integers(0, len(frame) - 1))
         frame[position] ^= data.draw(st.integers(1, 255))
         try:
-            BinaryCodec().decode_request(bytes(frame))
-        except XrlError:
-            pass
+            make_codec().decode_request(bytes(frame))
+        except XrlError as exc:
+            assert exc.code == XrlErrorCode.BAD_ARGS
 
     @settings(max_examples=200)
-    @given(seqs, error_codes, st.text(max_size=40), args_strategy, st.data())
-    def test_corrupt_response_never_escapes_xrl_error(self, seq, code, note,
-                                                      args, data):
-        frame = bytearray(BinaryCodec().encode_response(
+    @given(codecs, seqs, error_codes, st.text(max_size=40), args_strategy,
+           st.data())
+    def test_corrupt_response_never_escapes_xrl_error(self, make_codec, seq,
+                                                      code, note, args, data):
+        frame = bytearray(make_codec().encode_response(
             seq, XrlError(code, note), args))
         position = data.draw(st.integers(0, len(frame) - 1))
         frame[position] ^= data.draw(st.integers(1, 255))
         try:
-            BinaryCodec().decode_response(bytes(frame))
-        except XrlError:
-            pass
+            make_codec().decode_response(bytes(frame))
+        except XrlError as exc:
+            assert exc.code == XrlErrorCode.BAD_ARGS
 
-    @given(st.binary(max_size=64))
-    def test_random_garbage_raises_or_decodes(self, junk):
+    @given(codecs, st.binary(max_size=64))
+    def test_random_garbage_raises_or_decodes(self, make_codec, junk):
         try:
-            BinaryCodec().decode_request(junk)
-        except XrlError:
-            pass
+            make_codec().decode_request(junk)
+        except XrlError as exc:
+            assert exc.code == XrlErrorCode.BAD_ARGS
         try:
-            BinaryCodec().decode_response(junk)
-        except XrlError:
-            pass
+            make_codec().decode_response(junk)
+        except XrlError as exc:
+            assert exc.code == XrlErrorCode.BAD_ARGS
 
     def test_trailing_bytes_rejected(self):
-        frame = BinaryCodec().encode_request(1, "m", XrlArgs())
-        with pytest.raises(XrlError):
-            BinaryCodec().decode_request(frame + b"\x00")
+        for make_codec in CODECS:
+            codec = make_codec()
+            request = codec.encode_request(1, "m", XrlArgs())
+            response = codec.encode_response(1, XrlError.okay(), XrlArgs())
+            with pytest.raises(XrlError) as excinfo:
+                make_codec().decode_request(request + b"\x00")
+            assert excinfo.value.code == XrlErrorCode.BAD_ARGS
+            with pytest.raises(XrlError) as excinfo:
+                make_codec().decode_response(response + b"\x00")
+            assert excinfo.value.code == XrlErrorCode.BAD_ARGS
+
+
+def _unchecked_atom(name, atom_type, value):
+    """An atom built without XrlAtom's checks, as a faulty peer could send."""
+    atom = XrlAtom.__new__(XrlAtom)
+    atom.name, atom.type, atom.value = name, atom_type, value
+    return atom
+
+
+class TestDecodeChecks:
+    """Decoding makes the checks XrlAtom construction makes."""
+
+    @pytest.mark.parametrize("make_codec", CODECS)
+    @pytest.mark.parametrize("atom_type,value", [
+        (XrlAtomType.U32, 1 << 40),
+        (XrlAtomType.U32, 1 << 32),
+        (XrlAtomType.I32, -(1 << 40)),
+        (XrlAtomType.I32, 1 << 31),
+        (XrlAtomType.I64, 1 << 63),
+        (XrlAtomType.U64, 1 << 64),
+    ])
+    def test_out_of_range_integer_rejected(self, make_codec, atom_type, value):
+        args = XrlArgs.__new__(XrlArgs)
+        args._atoms = [_unchecked_atom("n", atom_type, value)]
+        codec = make_codec()
+        request = codec.encode_request(1, "m/1.0/x", args)
+        response = codec.encode_response(1, XrlError.okay(), args)
+        with pytest.raises(XrlError) as excinfo:
+            make_codec().decode_request(request)
+        assert excinfo.value.code == XrlErrorCode.BAD_ARGS
+        with pytest.raises(XrlError) as excinfo:
+            make_codec().decode_response(response)
+        assert excinfo.value.code == XrlErrorCode.BAD_ARGS
+
+    @pytest.mark.parametrize("make_codec", CODECS)
+    @pytest.mark.parametrize("atoms", [
+        [_unchecked_atom("a&b", XrlAtomType.U32, 1)],
+        [_unchecked_atom("n", XrlAtomType.U32, 1),
+         _unchecked_atom("n", XrlAtomType.U32, 2)],
+        [_unchecked_atom("l", XrlAtomType.LIST,
+                         [_unchecked_atom("", XrlAtomType.BOOL, True)])],
+    ], ids=["bad-name", "duplicate-name", "empty-name-in-list"])
+    def test_bad_names_rejected(self, make_codec, atoms):
+        args = XrlArgs.__new__(XrlArgs)
+        args._atoms = atoms
+        frame = make_codec().encode_request(1, "m/1.0/x", args)
+        with pytest.raises(XrlError) as excinfo:
+            make_codec().decode_request(frame)
+        assert excinfo.value.code == XrlErrorCode.BAD_ARGS
+
+    @pytest.mark.parametrize("make_codec", CODECS)
+    def test_prefix_length_checked(self, make_codec):
+        net = XrlArgs().add_ipv4net("net", IPNet(IPv4("10.0.0.0"), 8))
+        frame = bytearray(make_codec().encode_request(1, "m/1.0/x", net))
+        frame[-1] = 33  # the prefix length is the frame's last byte
+        with pytest.raises(XrlError) as excinfo:
+            make_codec().decode_request(bytes(frame))
+        assert excinfo.value.code == XrlErrorCode.BAD_ARGS
+
+    @pytest.mark.parametrize("make_codec", CODECS)
+    def test_deep_list_nesting_is_structured_error(self, make_codec):
+        # header + (count 1, name "l", list tag) x 5000 + one bool atom
+        header = make_codec().encode_request(1, "m/1.0/x", XrlArgs())[:-1]
+        frame = header + b"\x01\x01l\x0e" * 5000 + b"\x01\x01x\x07"
+        with pytest.raises(XrlError) as excinfo:
+            make_codec().decode_request(frame)
+        assert excinfo.value.code == XrlErrorCode.BAD_ARGS
 
 
 # -- method interning ---------------------------------------------------------
@@ -214,7 +299,11 @@ class TestMethodInterning:
         first = encoder.encode_request(1, method, args)
         second = encoder.encode_request(2, method, args)
         assert len(second) < len(first)
-        assert len(second) - len(args.to_binary()) <= 6
+        # both codecs carry the same atom section; textual puts a 6-byte
+        # header and the method string in front of it
+        textual = TEXTUAL.encode_request(1, method, args)
+        atom_section = len(textual) - 6 - len(method)
+        assert len(second) - atom_section <= 6
 
     def test_paired_decoder_follows_the_table(self):
         encoder, decoder = BinaryCodec(), BinaryCodec()

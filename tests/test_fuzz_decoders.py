@@ -29,9 +29,8 @@ from repro.mld6igmp.igmp import IgmpPacket, IgmpPacketError
 from repro.net import IPNet, IPv4
 from repro.ospf.packets import OspfDecodeError, decode_packet
 from repro.rip.packets import RipPacket, RipPacketError
-from repro.xrl.args import XrlArgs
+from repro.xrl.codec import TEXTUAL, BinaryCodec
 from repro.xrl.error import XrlError
-from repro.xrl.transport.base import decode_request, decode_response
 from repro.xrl.types import XrlAtom
 
 raw_bytes = st.binary(max_size=200)
@@ -206,16 +205,22 @@ class TestXrlFuzz:
     @settings(max_examples=200)
     @given(raw_bytes)
     def test_args_binary_random(self, data):
-        try:
-            XrlArgs.from_binary(data)
-        except XrlError:
-            pass
+        """Random bytes as the atom section behind a well-formed header."""
+        for decode, header in (
+                (TEXTUAL.decode_request, struct.pack("!IH", 1, 1) + b"m"),
+                (TEXTUAL.decode_response, struct.pack("!IIH", 1, 0, 0)),
+                (BinaryCodec().decode_request, b"\x00\x00\x00\x01\x00\x01m"),
+                (BinaryCodec().decode_response, b"\x00\x00\x00\x01\x00\x00")):
+            try:
+                decode(header + data)
+            except XrlError:
+                pass
 
     @settings(max_examples=200)
     @given(raw_bytes)
     def test_request_frame_random(self, data):
         try:
-            decode_request(data)
+            TEXTUAL.decode_request(data)
         except XrlError:
             pass
 
@@ -223,7 +228,7 @@ class TestXrlFuzz:
     @given(raw_bytes)
     def test_response_frame_random(self, data):
         try:
-            decode_response(data)
+            TEXTUAL.decode_response(data)
         except XrlError:
             pass
 

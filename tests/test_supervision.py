@@ -16,12 +16,12 @@ from repro.experiments.recovery import run_recovery
 from repro.net import IPv4
 from repro.rtrmgr import RouterManager, Supervisor, SupervisorPolicy
 from repro.xrl import XrlArgs
+from repro.xrl.codec import TEXTUAL
 from repro.xrl.error import XrlErrorCode
 from repro.xrl.finder import BIRTH, DEATH
 from repro.xrl.retry import RetryPolicy
 from repro.xrl.router import DeferredReply
 from repro.xrl.transport import FaultFamily
-from repro.xrl.transport.base import decode_response
 from repro.xrl.transport.kill import SIGTERM, KillFamily
 from repro.xrl.xrl import Xrl
 
@@ -278,7 +278,7 @@ class TestKillFamilyLiveness:
         host.loop.run(duration=0.05)
         assert victim.running  # on_signal must NOT have fired
         assert len(replies) == 1
-        __, error, __args = decode_response(replies[0])
+        __, error, __args = TEXTUAL.decode_response(replies[0])
         assert error.code == XrlErrorCode.SEND_FAILED
 
     def test_live_target_still_killed(self):
@@ -293,7 +293,7 @@ class TestKillFamilyLiveness:
         sender.call(KillFamily.encode_signal(1, SIGTERM), replies.append)
         host.loop.run(duration=0.05)
         assert not victim.running
-        __, error, __args = decode_response(replies[0])
+        __, error, __args = TEXTUAL.decode_response(replies[0])
         assert error.is_okay
 
 

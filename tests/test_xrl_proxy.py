@@ -89,9 +89,10 @@ class TestDeferredDispatch:
         router = process.create_router("slow")
         router.register_raw_method("slow/1.0/wait",
                                    lambda args: DeferredReply())
-        from repro.xrl.transport.base import encode_request
+        from repro.xrl.codec import TEXTUAL
 
-        frame = encode_request(1, router._key + "/slow/1.0/wait", XrlArgs())
+        frame = TEXTUAL.encode_request(1, router._key + "/slow/1.0/wait",
+                                       XrlArgs())
         with pytest.raises(RuntimeError):
             router.dispatch_frame(frame)
 

@@ -126,11 +126,12 @@ class TestResolutionAndSecurity:
         """A forged key (bypassing the Finder) is rejected (paper §7)."""
         loop, finder, server, client, iface = build_pair(
             IntraProcessFamily, None, True)
-        from repro.xrl.transport.base import decode_response, encode_request
+        from repro.xrl.codec import TEXTUAL
 
-        forged = encode_request(1, "0" * 32 + "/test/1.0/noop", XrlArgs())
+        forged = TEXTUAL.encode_request(1, "0" * 32 + "/test/1.0/noop",
+                                        XrlArgs())
         response = server.dispatch_frame(forged)
-        __, error, __ = decode_response(response)
+        __, error, __ = TEXTUAL.decode_response(response)
         assert error.code == XrlErrorCode.BAD_KEY
 
     def test_acl_denies_resolution(self):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.net import IPNet, IPv4, IPv6, Mac
 from repro.xrl import Xrl, XrlArgs, XrlAtom, XrlAtomType, XrlError
+from repro.xrl.codec import TEXTUAL
 from repro.xrl.types import escape_text, unescape_text
 
 
@@ -123,12 +124,20 @@ atom_strategy = st.one_of(
 )
 
 
+def _frame_round_trip(args: XrlArgs) -> XrlArgs:
+    """Carry *args* through one textual request frame and back."""
+    seq, method, decoded = TEXTUAL.decode_request(
+        TEXTUAL.encode_request(7, "t/1.0/m", args))
+    assert (seq, method) == (7, "t/1.0/m")
+    return decoded
+
+
 class TestBinaryCodec:
+    """Atoms through the frames' binary atom section."""
+
     @given(atom_strategy)
     def test_atom_round_trip(self, atom):
-        decoded, offset = XrlAtom.from_binary(atom.to_binary())
-        assert decoded == atom
-        assert offset == len(atom.to_binary())
+        assert list(_frame_round_trip(XrlArgs([atom]))) == [atom]
 
     @given(atom_strategy)
     def test_text_round_trip(self, atom):
@@ -138,13 +147,13 @@ class TestBinaryCodec:
         inner = [XrlAtom("x", XrlAtomType.IPV4, "1.2.3.4")]
         atom = XrlAtom("l", XrlAtomType.LIST,
                        [XrlAtom("n", XrlAtomType.LIST, inner)])
-        decoded, __ = XrlAtom.from_binary(atom.to_binary())
-        assert decoded == atom
+        assert list(_frame_round_trip(XrlArgs([atom]))) == [atom]
 
     def test_truncated_binary_raises(self):
-        atom = XrlAtom("x", XrlAtomType.U32, 5)
+        args = XrlArgs([XrlAtom("x", XrlAtomType.U32, 5)])
+        frame = TEXTUAL.encode_request(1, "t/1.0/m", args)
         with pytest.raises(XrlError):
-            XrlAtom.from_binary(atom.to_binary()[:-2])
+            TEXTUAL.decode_request(frame[:-2])
 
 
 class TestXrlArgs:
@@ -175,11 +184,11 @@ class TestXrlArgs:
     def test_binary_round_trip(self):
         args = (XrlArgs().add_u64("big", 1 << 40).add_binary("blob", b"\x01\x02")
                 .add_ipv6("v6", "2001:db8::1"))
-        assert XrlArgs.from_binary(args.to_binary()) == args
+        assert _frame_round_trip(args) == args
 
     def test_empty(self):
         assert XrlArgs.from_text("") == XrlArgs()
-        assert XrlArgs.from_binary(XrlArgs().to_binary()) == XrlArgs()
+        assert _frame_round_trip(XrlArgs()) == XrlArgs()
 
     def test_preserves_order(self):
         args = XrlArgs().add_u32("z", 1).add_u32("a", 2)
