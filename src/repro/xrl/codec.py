@@ -31,8 +31,9 @@ The two frame headers:
 Decoding the atom section makes the checks :class:`XrlAtom` construction
 makes: atom names, integer ranges (the same ``_INT_RANGES`` table),
 prefix lengths, and the address family the tag implies.  Truncated frames,
-trailing bytes and duplicate argument names are rejected too; every
-corrupt frame surfaces as ``XrlError(BAD_ARGS)`` and nothing else.
+trailing bytes, duplicate argument names and lists nested more than 32
+deep are rejected too; every corrupt frame surfaces as
+``XrlError(BAD_ARGS)`` and nothing else.
 
 The *method* string on the wire is the **resolved** method name, i.e. the
 Finder-issued 16-byte access key followed by ``interface/version/method``
@@ -200,16 +201,38 @@ def _int_atom(name: str, atom_type: XrlAtomType, value: int) -> XrlAtom:
     return _new_atom(name, atom_type, value)
 
 
-def _decode_atoms(data: bytes, offset: int) -> Tuple[List[XrlAtom], int]:
+#: how deep lists may nest in a frame; deeper frames are corrupt
+_MAX_LIST_DEPTH = 32
+
+#: wire name bytes -> checked atom name.  Argument names repeat from
+#: frame to frame, so each distinct short name is checked once, up to a
+#: bound that keeps corrupt or hostile frames from growing the table.
+_names: Dict[bytes, str] = {}
+_NAMES_MAX = 1024
+_NAME_CACHED_LEN = 64
+
+
+def _atom_name(raw: bytes) -> str:
+    name = raw.decode("utf-8")
+    if not _valid_name(name):
+        raise ValueError(f"bad atom name {name!r}")
+    if len(raw) <= _NAME_CACHED_LEN and len(_names) < _NAMES_MAX:
+        _names[raw] = name
+    return name
+
+
+def _decode_atoms(data: bytes, offset: int,
+                  depth: int = 0) -> Tuple[List[XrlAtom], int]:
+    if depth > _MAX_LIST_DEPTH:
+        raise ValueError(f"lists nested deeper than {_MAX_LIST_DEPTH}")
     count, offset = read_uvarint(data, offset)
     atoms: List[XrlAtom] = []
     append = atoms.append
     for __ in range(count):
         name_len, offset = read_uvarint(data, offset)
         end = offset + name_len
-        name = data[offset:end].decode("utf-8")
-        if not _valid_name(name):
-            raise ValueError(f"bad atom name {name!r}")
+        raw = data[offset:end]
+        name = _names.get(raw) or _atom_name(raw)
         tag = data[end]
         offset = end + 1
         if tag >= _TAG_FIXU32:
@@ -268,7 +291,7 @@ def _decode_atoms(data: bytes, offset: int) -> Tuple[List[XrlAtom], int]:
             append(_new_atom(name, XrlAtomType.BINARY, bytes(data[offset:end])))
             offset = end
         elif tag == _TAG_LIST:
-            value, offset = _decode_atoms(data, offset)
+            value, offset = _decode_atoms(data, offset, depth + 1)
             append(_new_atom(name, XrlAtomType.LIST, value))
         else:
             raise ValueError(f"unknown atom tag {tag:#x}")
@@ -277,6 +300,8 @@ def _decode_atoms(data: bytes, offset: int) -> Tuple[List[XrlAtom], int]:
 
 def _decode_args(data: bytes, offset: int) -> XrlArgs:
     """Decode the atom section that ends a frame; nothing may follow it."""
+    if type(data) is not bytes:  # name slices must be hashable
+        data = bytes(data)
     atoms, offset = _decode_atoms(data, offset)
     if offset != len(data):
         raise ValueError(f"{len(data) - offset} trailing bytes")
@@ -289,7 +314,7 @@ def _decode_args(data: bytes, offset: int) -> XrlArgs:
 
 
 #: what decoding a corrupt frame may raise; the codecs turn it into BAD_ARGS
-_CORRUPT = (struct.error, ValueError, IndexError, RecursionError)
+_CORRUPT = (struct.error, ValueError, IndexError)
 
 
 # -- frame codecs -------------------------------------------------------------

@@ -280,6 +280,21 @@ class TestDecodeChecks:
         assert excinfo.value.code == XrlErrorCode.BAD_ARGS
 
     @pytest.mark.parametrize("make_codec", CODECS)
+    def test_list_depth_bound(self, make_codec):
+        # 32 nested lists decode; one more is corrupt, whatever the stack
+        header = make_codec().encode_request(1, "m/1.0/x", XrlArgs())[:-1]
+        leaf = b"\x01\x01x\x07"
+        for depth, ok in ((32, True), (33, False)):
+            frame = header + b"\x01\x01l\x0e" * depth + leaf
+            if ok:
+                __, __, args = make_codec().decode_request(frame)
+                assert len(args.get_list("l")) == 1
+                continue
+            with pytest.raises(XrlError) as excinfo:
+                make_codec().decode_request(frame)
+            assert excinfo.value.code == XrlErrorCode.BAD_ARGS
+
+    @pytest.mark.parametrize("make_codec", CODECS)
     def test_deep_list_nesting_is_structured_error(self, make_codec):
         # header + (count 1, name "l", list tag) x 5000 + one bool atom
         header = make_codec().encode_request(1, "m/1.0/x", XrlArgs())[:-1]
